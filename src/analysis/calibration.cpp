@@ -75,10 +75,6 @@ FitResult finish_fit(SessionDistribution dist,
   return fit;
 }
 
-std::string_view family_name(SessionDistribution::Kind kind) {
-  return scenario::to_string(kind);
-}
-
 // ---- trace parsing helpers (strict, field-path errors) ---------------------
 
 using ParseError = std::optional<std::string>;
@@ -263,31 +259,12 @@ std::size_t censored_count(const std::vector<Observation>& sample) {
 
 // ---- report rendering ------------------------------------------------------
 
-void write_distribution(JsonWriter& json, const SessionDistribution& dist) {
-  json.begin_object();
-  json.field("kind", family_name(dist.kind));
-  switch (dist.kind) {
-    case SessionDistribution::Kind::kExponential:
-      json.field("mean_ms", dist.mean_ms);
-      break;
-    case SessionDistribution::Kind::kWeibull:
-      json.field("shape", dist.shape);
-      json.field("scale_ms", dist.scale_ms);
-      break;
-    case SessionDistribution::Kind::kLognormal:
-      json.field("median_ms", dist.median_ms);
-      json.field("sigma", dist.sigma);
-      break;
-  }
-  json.end_object();
-}
-
 void write_fit(JsonWriter& json, const FitResult& fit) {
   json.begin_object();
   json.field("ok", fit.ok);
   if (fit.ok) {
     json.key("params");
-    write_distribution(json, fit.dist);
+    scenario::to_json(json, fit.dist);
     json.field("ks", fit.ks);
     json.field("ad", fit.ad);
     json.field("analytic_mean_ms", fit.dist.analytic_mean());
@@ -876,9 +853,9 @@ std::string Result::report_json() const {
   json.field("name", scenario.name);
   if (scenario.churn) {
     json.key("session");
-    write_distribution(json, scenario.churn->session);
+    scenario::to_json(json, scenario.churn->session);
     json.key("gap");
-    write_distribution(json, scenario.churn->gap);
+    scenario::to_json(json, scenario.churn->gap);
     json.field("initial_online", scenario.churn->initial_online);
   }
   json.field("population_scale", scenario.population.scale);

@@ -94,14 +94,6 @@ std::string_view to_string(DisturbanceSpec::Kind kind) noexcept {
   return "degrade";
 }
 
-std::optional<DisturbanceSpec::Kind> disturbance_kind_from_string(
-    std::string_view name) noexcept {
-  if (name == "outage") return DisturbanceSpec::Kind::kOutage;
-  if (name == "partition") return DisturbanceSpec::Kind::kPartition;
-  if (name == "degrade") return DisturbanceSpec::Kind::kDegrade;
-  return std::nullopt;
-}
-
 // ---- validation -------------------------------------------------------------
 
 std::optional<std::string> ConditionSpec::validate(const ConditionSpec& spec) {

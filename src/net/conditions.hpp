@@ -128,8 +128,6 @@ struct DisturbanceSpec {
 };
 
 [[nodiscard]] std::string_view to_string(DisturbanceSpec::Kind kind) noexcept;
-[[nodiscard]] std::optional<DisturbanceSpec::Kind> disturbance_kind_from_string(
-    std::string_view name) noexcept;
 
 /// The full declarative condition description — the `"network"` section of
 /// a scenario file, or the argument of `TestbedBuilder::conditions`.

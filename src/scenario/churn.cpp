@@ -61,16 +61,6 @@ std::string_view to_string(SessionDistribution::Kind kind) noexcept {
   return "lognormal";
 }
 
-std::optional<SessionDistribution::Kind> distribution_kind_from_string(
-    std::string_view name) noexcept {
-  for (const auto kind : {SessionDistribution::Kind::kExponential,
-                          SessionDistribution::Kind::kWeibull,
-                          SessionDistribution::Kind::kLognormal}) {
-    if (to_string(kind) == name) return kind;
-  }
-  return std::nullopt;
-}
-
 // ---- ChurnSpec::validate ----------------------------------------------------
 
 namespace {

@@ -31,6 +31,10 @@
 #include "common/sim_time.hpp"
 #include "scenario/population_spec.hpp"
 
+namespace ipfs::common {
+class JsonWriter;
+}
+
 namespace ipfs::scenario {
 
 /// Probability that a dual-homed peer presents its alternate IP — shared
@@ -90,8 +94,11 @@ struct SessionDistribution {
 };
 
 [[nodiscard]] std::string_view to_string(SessionDistribution::Kind kind) noexcept;
-[[nodiscard]] std::optional<SessionDistribution::Kind>
-distribution_kind_from_string(std::string_view name) noexcept;
+
+/// Writes `distribution` as a scenario file's "churn" section spells it
+/// (`{"kind": ..., <that kind's parameters>}`); defined beside the
+/// scenario field tables in scenario_spec.cpp.
+void to_json(common::JsonWriter& writer, const SessionDistribution& distribution);
 
 /// Sinusoidal arrival-rate modulation: intersession gaps are divided by
 /// `1 + amplitude * cos(2*pi * (t - phase) / period)`, so rejoins cluster

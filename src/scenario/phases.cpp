@@ -22,14 +22,6 @@ std::string_view to_string(PhaseMode mode) noexcept {
   return "hold";
 }
 
-std::optional<PhaseMode> phase_mode_from_string(std::string_view text) noexcept {
-  if (text == "hold") return PhaseMode::kHold;
-  if (text == "ramp") return PhaseMode::kRamp;
-  if (text == "burst") return PhaseMode::kBurst;
-  if (text == "flash_crowd") return PhaseMode::kFlashCrowd;
-  return std::nullopt;
-}
-
 SimDuration PhaseProgramSpec::total_duration() const noexcept {
   SimDuration total = 0;
   for (const PhaseSpec& phase : program) total += phase.hold;

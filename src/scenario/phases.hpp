@@ -60,8 +60,6 @@ enum class PhaseMode : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(PhaseMode mode) noexcept;
-[[nodiscard]] std::optional<PhaseMode> phase_mode_from_string(
-    std::string_view text) noexcept;
 
 /// One phase of a program.  All multipliers are targets (endpoints); how
 /// they apply across the hold window depends on `mode` (file comment).

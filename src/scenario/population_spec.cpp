@@ -46,14 +46,6 @@ std::string_view to_string(SessionKind kind) noexcept {
   return "?";
 }
 
-std::optional<SessionKind> session_kind_from_string(std::string_view name) noexcept {
-  for (const SessionKind kind :
-       {SessionKind::kAlwaysOn, SessionKind::kRecurring, SessionKind::kOneShot}) {
-    if (to_string(kind) == name) return kind;
-  }
-  return std::nullopt;
-}
-
 const CategoryParams& default_params(Category category) {
   // Calibration notes (all targets from the paper; see header comment):
   //  - retention means set so that P4-style runs (no local trim) yield

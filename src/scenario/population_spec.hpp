@@ -60,8 +60,6 @@ enum class SessionKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(SessionKind kind) noexcept;
-[[nodiscard]] std::optional<SessionKind> session_kind_from_string(
-    std::string_view name) noexcept;
 
 /// Per-category behaviour parameters.
 struct CategoryParams {

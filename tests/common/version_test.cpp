@@ -118,6 +118,12 @@ struct DirtyCase {
   DirtyTransition expected;
 };
 
+// Prints the case by its agent strings so the parameter's printed value, and
+// with it the test's registered name, does not depend on string addresses.
+void PrintTo(const DirtyCase& param, std::ostream* os) {
+  *os << param.before << " -> " << param.after;
+}
+
 class DirtyTransitionTest : public ::testing::TestWithParam<DirtyCase> {};
 
 TEST_P(DirtyTransitionTest, Classifies) {

@@ -67,6 +67,10 @@ struct RoundTripCase {
   const char* text;
 };
 
+// Prints the case by its text so the parameter's printed value, and with it
+// the test's registered name, does not depend on the string's address.
+void PrintTo(const RoundTripCase& param, std::ostream* os) { *os << param.text; }
+
 class MultiaddrRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(MultiaddrRoundTrip, ParsePrintIdentity) {

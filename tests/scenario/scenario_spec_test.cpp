@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <set>
+#include <span>
 #include <sstream>
+#include <thread>
 
 #include "runtime/parallel.hpp"
+#include "scenario/builtin_files.hpp"
 #include "scenario/campaign.hpp"
 
 namespace ipfs::scenario {
@@ -149,6 +154,25 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
        R"({"name":"x","period":{"duration_ms":"3d"}})",
        "expected an integer number of milliseconds"},
       {"syntax error", R"({"name":)", "1:9"},
+      {"empty go-ipfs mode", R"({"name":"x","period":{"go_ipfs":{"mode":""}}})",
+       "period.go_ipfs.mode: expected \"server\" or \"client\""},
+      {"empty session kind",
+       R"({"name":"x","population":{"categories":{"crawler":{"session":""}}}})",
+       "population.categories.crawler.session: expected \"always-on\", "
+       "\"recurring\" or \"one-shot\""},
+      {"duplicate document field", R"({"name":"a","name":"b"})",
+       "document: duplicate field 'name'"},
+      {"duplicate section field",
+       R"({"name":"x","period":{"duration_ms":60000,"duration_ms":120000}})",
+       "period: duplicate field 'duration_ms'"},
+      {"duplicate category override",
+       R"({"name":"x","population":{"categories":{"crawler":{},"crawler":{}}}})",
+       "population.categories: duplicate field 'crawler'"},
+      {"scale overflowing every count", R"({"name":"x","population":{"scale":1e308}})",
+       "population.scale:"},
+      {"scaled count just past 2^32",
+       R"({"name":"x","population":{"scale":2,"counts":{"normal_users":2147483648}}})",
+       "population.scale:"},
   };
   for (const RejectionCase& test_case : cases) {
     const auto spec = ScenarioSpec::from_json(test_case.document);
@@ -156,6 +180,13 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
     EXPECT_NE(spec.error().find(test_case.expected_fragment), std::string::npos)
         << test_case.label << ": got error '" << spec.error() << "'";
   }
+}
+
+TEST(ScenarioSpec, ScaleBoundAdmitsTheLargestCountUpTo2To32Minus1) {
+  // 2147483647 x 2 = 2^32 - 2 still fits the 32-bit scaled count.
+  EXPECT_TRUE(ScenarioSpec::from_json(
+                  R"({"name":"x","population":{"scale":2,"counts":{"normal_users":2147483647}}})")
+                  .has_value());
 }
 
 // ---- preset equivalence -----------------------------------------------------
@@ -188,6 +219,20 @@ TEST(ScenarioSpec, TrialSeedsAreSequentialFromBase) {
   spec.campaign.seed = 100;
   spec.campaign.trials = 4;
   EXPECT_EQ(spec.trial_seeds(), (std::vector<std::uint64_t>{100, 101, 102, 103}));
+}
+
+TEST(ScenarioSpec, ConcurrentFirstUseOfTheBuiltinsAgrees) {
+  // Builtins decode lazily on first use, which trial workers may reach
+  // together through CampaignConfig's P4() default.
+  std::vector<PeriodSpec> periods(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    threads.emplace_back([&periods, i] { periods[i] = PeriodSpec::P4(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const PeriodSpec& period : periods) {
+    EXPECT_EQ(period, ScenarioSpec::builtin("p4")->period);
+  }
 }
 
 TEST(ScenarioSpec, BuiltinLookup) {
@@ -223,6 +268,29 @@ TEST(ScenarioSpec, CheckedInFilesMatchBuiltinsByteForByte) {
         << path << " drifted from the builtin spec "
         << "(regenerate with: ipfs_sim export --all)";
   }
+}
+
+TEST(ScenarioSpec, BuiltinCatalogueIsTheScenarioDirectory) {
+  // Every scenarios/*.json outside traces/ is a builtin and every builtin
+  // has a file, in the order of the embedded list (CMakeLists.txt).  A file
+  // added without its CMake list line fails here.
+  std::set<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(IPFS_SOURCE_DIR) + "/scenarios")) {
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      on_disk.insert(entry.path().filename().string());
+    }
+  }
+  const std::vector<ScenarioSpec>& builtins = ScenarioSpec::builtins();
+  const std::span<const BuiltinFile> files = builtin_files();
+  ASSERT_EQ(builtins.size(), files.size());
+  std::set<std::string> catalogued;
+  for (std::size_t i = 0; i < builtins.size(); ++i) {
+    EXPECT_EQ(builtins[i].name, files[i].name) << "position " << i;
+    catalogued.insert(scenario_file_name(builtins[i]));
+  }
+  EXPECT_EQ(catalogued.size(), builtins.size()) << "two builtins share a file";
+  EXPECT_EQ(on_disk, catalogued);
 }
 
 // ---- campaign equivalence ---------------------------------------------------
