@@ -24,6 +24,9 @@
 //                scenario::PhaseProgram::rates_at lookups (the per-draw
 //                modulation hot path of DESIGN.md §14) plus the wall-clock
 //                overhead a modulating program adds to one campaign
+//   vantage_p2p  the vantage's p2p layer (DESIGN.md §16): no-op trim ticks
+//                at 20k open, a real 20k -> 18k trim against the retained
+//                full-sort plan, and identify on a 40k-peer peerstore
 //
 // Usage:  perf_suite [--smoke] [--out FILE] [--check-baseline FILE]
 //   --smoke           tiny sizes for CI (seconds, no timing assertions)
@@ -31,8 +34,8 @@
 //   --check-baseline  compare event_queue.ns_per_event against a committed
 //                     BENCH_core.json; exit 1 on a >25% regression (the
 //                     scheduler guardrail — see DESIGN.md §12) or when the
-//                     baseline predates the sharded_campaign or
-//                     phase_program sections
+//                     baseline predates the sharded_campaign,
+//                     phase_program or vantage_p2p sections
 // IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
 #include <algorithm>
 #include <chrono>
@@ -50,6 +53,8 @@
 #include "common/rng.hpp"
 #include "dht/routing_table.hpp"
 #include "net/conditions.hpp"
+#include "p2p/protocols.hpp"
+#include "p2p/swarm.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/worker_budget.hpp"
@@ -618,6 +623,169 @@ PhaseProgramNumbers bench_phase_program(bool smoke) {
   return numbers;
 }
 
+// ---- vantage_p2p: trim ticks, real trims, identify --------------------------
+
+struct VantageP2pNumbers {
+  std::size_t open = 0;
+  std::size_t ticks = 0;
+  double noop_tick_ns = 0.0;     ///< per Swarm::trim_now at HighWater
+  std::size_t trim_victims = 0;  ///< connections one real trim closes
+  double trim_ns = 0.0;          ///< per ConnManager::plan_trim, 20k -> 18k
+  double full_sort_trim_ns = 0.0;  ///< the retained full-sort plan, same input
+  std::size_t peers = 0;
+  std::size_t identifies = 0;
+  double identify_ns = 0.0;  ///< per set_agent + set_protocols
+};
+
+/// The plan before selection: every candidate fully sorted on
+/// (tag, mix64(id, now)).  tests/p2p/conn_manager_test.cpp keeps the same
+/// oracle and proves the shipped plan equal to it id for id.
+std::vector<ipfs::p2p::ConnectionId> full_sort_plan(
+    const ipfs::p2p::ConnManager& manager,
+    const std::vector<const ipfs::p2p::Connection*>& open, ipfs::common::SimTime now) {
+  const ipfs::p2p::ConnManagerConfig& config = manager.config();
+  std::vector<ipfs::p2p::ConnectionId> to_close;
+  if (config.high_water <= 0) return to_close;
+  if (open.size() <= static_cast<std::size_t>(config.high_water)) return to_close;
+  struct Candidate {
+    const ipfs::p2p::Connection* connection;
+    int tag_value;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(open.size());
+  for (const ipfs::p2p::Connection* connection : open) {
+    if (now - connection->opened < config.grace_period) continue;
+    if (manager.is_protected(connection->remote)) continue;
+    candidates.push_back({connection, manager.tag(connection->remote)});
+  }
+  const std::size_t target = static_cast<std::size_t>(std::max(config.low_water, 0));
+  if (open.size() <= target) return to_close;
+  std::size_t excess = open.size() - target;
+  std::sort(candidates.begin(), candidates.end(),
+            [now](const Candidate& a, const Candidate& b) {
+              if (a.tag_value != b.tag_value) return a.tag_value < b.tag_value;
+              return ipfs::common::mix64(a.connection->id, static_cast<std::uint64_t>(now)) <
+                     ipfs::common::mix64(b.connection->id, static_cast<std::uint64_t>(now));
+            });
+  for (const Candidate& candidate : candidates) {
+    if (excess == 0) break;
+    to_close.push_back(candidate.connection->id);
+    --excess;
+  }
+  return to_close;
+}
+
+VantageP2pNumbers bench_vantage_p2p(bool smoke) {
+  namespace p2p = ipfs::p2p;
+  using ipfs::common::kSecond;
+  VantageP2pNumbers numbers;
+  // churn_hour_88k's vantage: watermarks 18000 / 20000.
+  constexpr int kLowWater = 18'000;
+  constexpr int kHighWater = 20'000;
+  numbers.open = kHighWater;
+  Rng rng(0x9a27);
+
+  // No-op ticks: a swarm holding exactly HighWater connections.
+  {
+    ipfs::sim::Simulation simulation;
+    p2p::Swarm::Config config;
+    config.conn_manager = p2p::ConnManagerConfig::with_watermarks(kLowWater, kHighWater);
+    p2p::Swarm swarm(simulation, p2p::PeerId::from_seed(1),
+                     {p2p::IpAddress::v4(1), p2p::Transport::kTcp, 4001}, config);
+    for (int i = 0; i < kHighWater; ++i) {
+      swarm.open_connection(p2p::PeerId::random(rng),
+                            {p2p::IpAddress::v4(0x0a000000u + static_cast<std::uint32_t>(i)),
+                             p2p::Transport::kTcp, 4001},
+                            p2p::Direction::kInbound);
+    }
+    simulation.run_until(60 * kSecond);
+    numbers.ticks = smoke ? 1'000 : 1'000'000;
+    std::size_t trimmed = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < numbers.ticks; ++i) trimmed += swarm.trim_now();
+    numbers.noop_tick_ns = elapsed_ms(start) * 1e6 / static_cast<double>(numbers.ticks);
+    if (trimmed != 0 || swarm.open_count() != static_cast<std::size_t>(kHighWater)) {
+      std::cerr << "vantage_p2p: a tick at HighWater trimmed\n";
+      std::exit(1);
+    }
+  }
+
+  // Real trims: 20k open past grace, a few hundred tagged, down to 18k.
+  {
+    const ipfs::common::SimTime now = 3600 * kSecond;
+    std::vector<p2p::Connection> connections(static_cast<std::size_t>(kHighWater));
+    p2p::ConnManager manager(
+        p2p::ConnManagerConfig::with_watermarks(kLowWater, kHighWater - 1));
+    for (std::size_t i = 0; i < connections.size(); ++i) {
+      connections[i].id = i + 1;
+      connections[i].remote = p2p::PeerId::random(rng);
+      connections[i].opened = now - 30 * kSecond -
+                              static_cast<ipfs::common::SimTime>(rng.uniform_u64(3000 * kSecond));
+      if (rng.bernoulli(0.02)) manager.set_tag(connections[i].remote, 100);
+    }
+    std::vector<const p2p::Connection*> open;
+    for (const p2p::Connection& connection : connections) open.push_back(&connection);
+    const std::size_t trims = smoke ? 4 : 100;
+    std::size_t checksum = 0;
+    auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < trims; ++i) {
+      const auto plan = manager.plan_trim(open, now + static_cast<ipfs::common::SimTime>(i));
+      checksum += plan.size() + plan.front();
+    }
+    numbers.trim_ns = elapsed_ms(start) * 1e6 / static_cast<double>(trims);
+    std::size_t oracle_checksum = 0;
+    start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < trims; ++i) {
+      const auto plan = full_sort_plan(manager, open, now + static_cast<ipfs::common::SimTime>(i));
+      oracle_checksum += plan.size() + plan.front();
+    }
+    numbers.full_sort_trim_ns = elapsed_ms(start) * 1e6 / static_cast<double>(trims);
+    numbers.trim_victims = manager.plan_trim(open, now).size();
+    if (checksum != oracle_checksum || manager.plan_trim(open, now) != full_sort_plan(manager, open, now)) {
+      std::cerr << "vantage_p2p: selection plan differs from the full sort\n";
+      std::exit(1);
+    }
+  }
+
+  // Identify: agent + protocol list on a 40k-peer peerstore, cycling
+  // through the announcement shapes a vantage sees.
+  {
+    p2p::Peerstore peerstore;
+    numbers.peers = 40'000;
+    std::vector<p2p::PeerId> peers;
+    for (std::size_t i = 0; i < numbers.peers; ++i) {
+      peers.push_back(p2p::PeerId::random(rng));
+      peerstore.touch(peers.back(), 0);
+    }
+    namespace proto = p2p::protocols;
+    const std::vector<std::string> base = {
+        std::string(proto::kIdentify), std::string(proto::kIdentifyPush),
+        std::string(proto::kPing),     std::string(proto::kBitswap),
+        std::string(proto::kBitswap100), std::string(proto::kBitswap110),
+        std::string(proto::kBitswap120), std::string(proto::kAutonat)};
+    std::vector<std::vector<std::string>> announcements(3, base);
+    announcements[1].push_back(std::string(proto::kKad));
+    announcements[2].push_back(std::string(proto::kMeshsub11));
+    announcements[2].push_back(std::string(proto::kFetch));
+    const std::vector<std::string> agents = {"go-ipfs/0.10.0/64b532f", "go-ipfs/0.11.0/67220ed",
+                                             "kubo/0.14.0/e0fabd6"};
+    numbers.identifies = smoke ? 20'000 : 2'000'000;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < numbers.identifies; ++i) {
+      const p2p::PeerId& peer = peers[rng.uniform_u64(peers.size())];
+      const auto at = static_cast<ipfs::common::SimTime>(i);
+      peerstore.set_agent(peer, agents[i % agents.size()], at);
+      peerstore.set_protocols(peer, announcements[(i / 3) % announcements.size()], at);
+    }
+    numbers.identify_ns = elapsed_ms(start) * 1e6 / static_cast<double>(numbers.identifies);
+    if (peerstore.size() != numbers.peers) {
+      std::cerr << "vantage_p2p: identify created peers\n";
+      std::exit(1);
+    }
+  }
+  return numbers;
+}
+
 // ---- baseline guardrail -----------------------------------------------------
 
 /// Compares a fresh event_queue measurement against the committed
@@ -666,6 +834,14 @@ bool check_event_queue_baseline(const std::string& baseline_path,
               << "BENCH_core.json (bench/README.md)\n";
     return false;
   }
+  const ipfs::common::JsonValue* p2p = parsed->find("vantage_p2p");
+  if (p2p == nullptr || p2p->find("noop_trim_tick_ns") == nullptr ||
+      p2p->find("trim_ns") == nullptr || p2p->find("identify_ns") == nullptr) {
+    std::cerr << "check-baseline: " << baseline_path
+              << " predates the vantage_p2p section — regenerate "
+              << "BENCH_core.json (bench/README.md)\n";
+    return false;
+  }
   const double committed = ns->as_double();
   constexpr double kTolerance = 1.25;
   std::cout << "\ncheck-baseline: event_queue " << fresh.ns_per_event
@@ -704,14 +880,14 @@ int main(int argc, char** argv) {
   ipfs::bench::print_header("Core performance suite",
                             "perf trajectory (BENCH_core.json), not a paper figure");
 
-  std::cout << "[1/8] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/9] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/8] event queue: schedule + drain ...\n";
+  std::cout << "[2/9] event queue: schedule + drain ...\n";
   const EventQueueNumbers events = bench_event_queue(smoke);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
@@ -720,23 +896,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/8] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/9] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/8] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/9] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/8] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/9] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/8] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/9] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -744,19 +920,27 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/8] sharded_campaign: unsharded vs sharded engine ...\n";
+  std::cout << "[7/9] sharded_campaign: unsharded vs sharded engine ...\n";
   const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
   std::cout << "      scale " << sharded.scale << ": sequential "
             << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
             << " ms (" << sharded.shards << " shards, " << sharded.workers
             << " workers, exports byte-identical)\n";
 
-  std::cout << "[8/8] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[8/9] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
             << " ms vs phased " << phases.phased_ms << " ms ("
             << phases.phased_ms / phases.plain_ms << "x)\n";
+
+  std::cout << "[9/9] vantage_p2p: trim ticks, real trims, identify ...\n";
+  const VantageP2pNumbers p2p = bench_vantage_p2p(smoke);
+  std::cout << "      " << p2p.noop_tick_ns << " ns/no-op tick at " << p2p.open
+            << " open; real trim (" << p2p.trim_victims << " victims) " << p2p.trim_ns
+            << " ns vs full sort " << p2p.full_sort_trim_ns << " ns ("
+            << p2p.full_sort_trim_ns / p2p.trim_ns << "x); identify "
+            << p2p.identify_ns << " ns on " << p2p.peers << " peers\n";
 
   std::ofstream out(out_path);
   if (!out) {
@@ -853,6 +1037,19 @@ int main(int argc, char** argv) {
   json.field("plain_campaign_ms", phases.plain_ms);
   json.field("phased_campaign_ms", phases.phased_ms);
   json.field("overhead", phases.phased_ms / phases.plain_ms);
+  json.end_object();
+  json.key("vantage_p2p");
+  json.begin_object();
+  json.field("open", static_cast<std::uint64_t>(p2p.open));
+  json.field("ticks", static_cast<std::uint64_t>(p2p.ticks));
+  json.field("noop_trim_tick_ns", p2p.noop_tick_ns);
+  json.field("trim_victims", static_cast<std::uint64_t>(p2p.trim_victims));
+  json.field("trim_ns", p2p.trim_ns);
+  json.field("full_sort_trim_ns", p2p.full_sort_trim_ns);
+  json.field("trim_speedup_vs_full_sort", p2p.full_sort_trim_ns / p2p.trim_ns);
+  json.field("peerstore_peers", static_cast<std::uint64_t>(p2p.peers));
+  json.field("identifies", static_cast<std::uint64_t>(p2p.identifies));
+  json.field("identify_ns", p2p.identify_ns);
   json.end_object();
   json.end_object();
   out << "\n";

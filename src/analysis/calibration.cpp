@@ -88,17 +88,19 @@ std::string indexed(const std::string& path, std::string_view key,
   return join(path, key) + "[" + std::to_string(index) + "]";
 }
 
+/// A member outside `allowed`, or one repeated, is an error (the scenario
+/// codec's rule): a repeated key would otherwise resolve first-one-wins.
 ParseError check_keys(const JsonValue& value, const std::string& path,
                       std::initializer_list<std::string_view> allowed) {
-  for (const JsonValue::Member& member : value.as_object()) {
-    bool known = false;
-    for (const std::string_view key : allowed) {
-      if (member.first == key) {
-        known = true;
-        break;
-      }
+  const JsonValue::Object& members = value.as_object();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const std::string& key = members[i].first;
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      return path + ": unknown field '" + key + "'";
     }
-    if (!known) return path + ": unknown field '" + member.first + "'";
+    for (std::size_t j = 0; j < i; ++j) {
+      if (members[j].first == key) return path + ": duplicate field '" + key + "'";
+    }
   }
   return std::nullopt;
 }

@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <cmath>
@@ -44,7 +45,8 @@ void JsonWriter::key(std::string_view name) {
   assert(!scopes_.empty() && scopes_.back() == Scope::kObject);
   if (need_comma_) out_ << ',';
   if (pretty_) newline_indent();
-  out_ << '"' << escape(name) << "\":";
+  write_quoted(name);
+  out_ << ':';
   if (pretty_) out_ << ' ';
   need_comma_ = false;
   after_key_ = true;
@@ -66,8 +68,23 @@ void JsonWriter::newline_indent() {
 
 void JsonWriter::value(std::string_view text) {
   separator();
-  out_ << '"' << escape(text) << '"';
+  write_quoted(text);
   need_comma_ = true;
+}
+
+void JsonWriter::write_quoted(std::string_view text) {
+  out_ << '"';
+  // PIDs, agents and multiaddrs almost never need escaping: write those
+  // bytes straight through instead of building an escaped copy.
+  const bool plain = std::none_of(text.begin(), text.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  if (plain) {
+    out_.write(text.data(), static_cast<std::streamsize>(text.size()));
+  } else {
+    out_ << escape(text);
+  }
+  out_ << '"';
 }
 
 void JsonWriter::value(bool b) {

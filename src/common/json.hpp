@@ -71,6 +71,8 @@ class JsonWriter {
 
   void separator();
   void newline_indent();
+  /// `text` escaped and in quotes.
+  void write_quoted(std::string_view text);
 
   std::ostream& out_;
   bool pretty_ = false;

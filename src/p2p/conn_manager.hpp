@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -58,18 +59,38 @@ class ConnManager {
     return protected_.contains(peer);
   }
 
+  /// True when `open_count` connections exceed HighWater, i.e. when a trim
+  /// pass has work to do.  A HighWater of 0 or less disables trimming.
+  [[nodiscard]] bool over_high_water(std::size_t open_count) const noexcept {
+    return config_.high_water > 0 &&
+           open_count > static_cast<std::size_t>(config_.high_water);
+  }
+
   /// Given the currently open connections, return the ids to close so the
-  /// table returns to LowWater.  Empty unless `open.size() > HighWater`.
+  /// table returns to LowWater.  Empty unless `over_high_water(open.size())`.
   /// Candidates within the grace period or protected are skipped; remaining
-  /// candidates close in ascending (tag, age) order — the newest of the
-  /// lowest-valued go first, mirroring go-libp2p's segment sort.
+  /// candidates close in ascending (tag, mix64(id, now)) order — the
+  /// lowest-valued first, pseudo-randomly within a tag, mirroring
+  /// go-libp2p's segment sort.
+  /// Only the victims are ordered (DESIGN.md §16): `nth_element` selects
+  /// them from a candidate buffer reused across passes, then they alone
+  /// are sorted.  When two candidates with equal keys are among the
+  /// victims or straddle the cut, the full sort decides, as it always did.
   [[nodiscard]] std::vector<ConnectionId> plan_trim(
-      const std::vector<const Connection*>& open, common::SimTime now) const;
+      std::span<const Connection* const> open, common::SimTime now);
 
  private:
+  /// A trim candidate with its (tag_value, order) sort key precomputed.
+  struct Candidate {
+    int tag_value;
+    std::uint64_t order;  ///< mix64(id, now)
+    ConnectionId id;
+  };
+
   ConnManagerConfig config_;
   std::unordered_map<PeerId, int> tags_;
   std::unordered_set<PeerId> protected_;
+  std::vector<Candidate> candidates_;
 };
 
 }  // namespace ipfs::p2p

@@ -4,11 +4,20 @@
 // measurement clients poll exactly these books every 30 s (go-ipfs) / 1 min
 // (hydra) and log changes with timestamps (§III-A/B).  Observers registered
 // here receive those change events synchronously.
+//
+// Layout: entries live in one dense vector in first-seen order, found
+// through an open-addressing hash index of entry positions.  Protocol
+// sets are bitsets over a protocol intern table owned by the store, so
+// an identify costs a few table lookups and one word compare instead of
+// rebuilding a set of strings.  The table is per instance, never global:
+// stores on different threads share nothing (DESIGN.md §16).
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -37,14 +46,38 @@ class PeerstoreObserver {
 /// Address / protocol / agent books for one node.
 class Peerstore {
  public:
+  /// A set of protocol ids interned by one store: bit i is protocol id i.
+  /// The first 64 ids live inline; later ids spill into extra words.
+  class ProtocolSet {
+   public:
+    void insert(std::uint32_t id);
+    [[nodiscard]] bool contains(std::uint32_t id) const noexcept {
+      return (word(id / 64) >> (id % 64) & 1) != 0;
+    }
+    /// Word `i` of the bitset; 0 past the stored words.
+    [[nodiscard]] std::uint64_t word(std::size_t i) const noexcept {
+      if (i == 0) return first_;
+      return i - 1 < rest_.size() ? rest_[i - 1] : 0;
+    }
+    [[nodiscard]] std::size_t word_count() const noexcept { return 1 + rest_.size(); }
+    [[nodiscard]] bool operator==(const ProtocolSet& other) const noexcept;
+
+   private:
+    std::uint64_t first_ = 0;
+    std::vector<std::uint64_t> rest_;
+  };
+
   struct Entry {
+    PeerId peer;
     std::string agent;                 ///< empty until identify succeeded
-    std::set<std::string> protocols;   ///< currently announced protocols
+    ProtocolSet protocols;             ///< currently announced protocols
     std::set<Multiaddr> addresses;     ///< all multiaddresses ever observed
     SimTime first_seen = 0;
     SimTime last_seen = 0;
     bool ever_dht_server = false;  ///< announced /ipfs/kad/1.0.0 at least once
   };
+
+  Peerstore();
 
   /// Ensure an entry exists; returns true when the peer was new.
   bool touch(const PeerId& peer, SimTime now);
@@ -52,25 +85,46 @@ class Peerstore {
   /// Record the announced agent-version string (identify result).
   void set_agent(const PeerId& peer, const std::string& agent, SimTime now);
 
-  /// Replace the announced protocol set; diffs are reported to observers.
+  /// Replace the announced protocol set; diffs are reported to observers,
+  /// each list deduplicated and in lexicographic order, and nothing fires
+  /// when the set is unchanged.
   void set_protocols(const PeerId& peer, const std::vector<std::string>& protocols,
                      SimTime now);
 
   void add_address(const PeerId& peer, const Multiaddr& address, SimTime now);
 
+  /// The peer's entry, or null.  Valid until the next new peer is added.
   [[nodiscard]] const Entry* find(const PeerId& peer) const;
   [[nodiscard]] bool supports(const PeerId& peer, std::string_view protocol) const;
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const std::map<PeerId, Entry>& entries() const noexcept {
-    return entries_;
-  }
+  /// Every entry in first-seen order.
+  [[nodiscard]] const std::vector<Entry>& entries() const noexcept { return entries_; }
 
   void add_observer(PeerstoreObserver* observer) { observers_.push_back(observer); }
 
  private:
-  Entry& get_or_create(const PeerId& peer, SimTime now);
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
 
-  std::map<PeerId, Entry> entries_;
+  Entry& get_or_create(const PeerId& peer, SimTime now);
+  /// Index slot holding `peer`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t slot_of(const PeerId& peer) const noexcept;
+  void grow_index();
+  std::uint32_t intern(const std::string& protocol);
+  /// Append the names of the ids set in word `word` of a ProtocolSet.
+  void append_names(std::uint64_t bits, std::size_t word,
+                    std::vector<std::string>& out) const;
+
+  std::vector<Entry> entries_;
+  /// Open-addressing index: 0 = empty, else the entry position + 1.
+  std::vector<std::uint32_t> slots_;
+  std::vector<std::string> protocol_names_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      protocol_ids_;
   std::vector<PeerstoreObserver*> observers_;
 };
 

@@ -1,5 +1,7 @@
 #include "scenario/scenario_spec.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -934,6 +936,21 @@ std::optional<std::string> ScenarioSpec::validate(const ScenarioSpec& spec) {
   if (static_cast<double>(largest) * spec.population.scale >= 4294967295.5) {
     return "population.scale: scales the largest count (" + std::to_string(largest) +
            ") past 2^32 - 1";
+  }
+  // The *_per_day streams are rounded the same way after a further
+  // multiplication by the period's length in days.
+  const double days = static_cast<double>(spec.period.duration) /
+                      static_cast<double>(common::kDay);
+  for (const Field<PopulationCounts>& field : kCountsFields) {
+    if (!field.key.ends_with("_per_day")) continue;
+    const std::uint32_t base =
+        counts.*std::get<std::uint32_t PopulationCounts::*>(field.member);
+    const double per_day = std::max(
+        std::round(static_cast<double>(base) * spec.population.scale), base > 0 ? 1.0 : 0.0);
+    if (per_day * days >= 4294967295.5) {
+      return "period.duration_ms: population.counts." + std::string(field.key) +
+             " over this many days reaches past 2^32 - 1 peers";
+    }
   }
   for (std::size_t i = 0; i < kCategoryCount; ++i) {
     const auto& overridden = spec.population.overrides[i];

@@ -54,6 +54,44 @@ TEST(JsonWriter, EscapesSpecialCharacters) {
   EXPECT_EQ(JsonWriter::escape(std::string_view("\x01", 1)), "\\u0001");
 }
 
+/// The escaped form of one byte: the two-character escapes for '"', '\\',
+/// \n, \r and \t, \u00xx (lowercase hex) for the other control bytes,
+/// and every other byte, 0x7f and above included, unchanged.
+std::string escaped_byte(unsigned byte) {
+  switch (byte) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: break;
+  }
+  if (byte < 0x20) {
+    const char* hex = "0123456789abcdef";
+    return std::string("\\u00") + hex[byte >> 4] + hex[byte & 0xf];
+  }
+  return std::string(1, static_cast<char>(byte));
+}
+
+TEST(JsonWriter, EveryByteEscapesAsPinned) {
+  EXPECT_EQ(escaped_byte(0x08), "\\u0008");
+  EXPECT_EQ(escaped_byte(0x1f), "\\u001f");
+  for (unsigned byte = 0; byte < 256; ++byte) {
+    const std::string text(1, static_cast<char>(byte));
+    // Alone, between plain bytes, and through both writer paths (values
+    // and keys), so the no-escape fast path and the escaping path agree.
+    EXPECT_EQ(JsonWriter::escape(text), escaped_byte(byte)) << "byte " << byte;
+    const std::string framed = "ab" + text + "cd";
+    const std::string expected = "ab" + escaped_byte(byte) + "cd";
+    std::ostringstream out;
+    JsonWriter json(out);
+    json.begin_object();
+    json.field(framed, framed);
+    json.end_object();
+    EXPECT_EQ(out.str(), "{\"" + expected + "\":\"" + expected + "\"}") << "byte " << byte;
+  }
+}
+
 TEST(JsonWriter, EscapedStringValue) {
   std::ostringstream out;
   JsonWriter json(out);

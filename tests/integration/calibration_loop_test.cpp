@@ -99,5 +99,17 @@ TEST(CalibrationLoop, GapOptionChangesTheCensoringHorizon) {
   EXPECT_LT(merged->measured.session_count, narrow->measured.session_count);
 }
 
+TEST(CalibrationLoop, RepeatedKeyInTheReferenceTraceIsRejected) {
+  // Malformed-trace corpus: the reference trace with "pid" given twice on
+  // peers[0].  First-one-wins would calibrate it silently.
+  std::string trace = read_trace();
+  const std::size_t first_pid = trace.find("\"pid\":");
+  ASSERT_NE(first_pid, std::string::npos);
+  trace.insert(first_pid, "\"pid\": \"12D3KooWRepeated\", ");
+  const auto result = run(trace, {.verify = false});
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error(), "peers[0]: duplicate field 'pid'");
+}
+
 }  // namespace
 }  // namespace ipfs::analysis::calibrate

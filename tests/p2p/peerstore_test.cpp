@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "p2p/protocols.hpp"
 
 namespace ipfs::p2p {
@@ -125,6 +127,93 @@ TEST_F(PeerstoreTest, MultiplePeersIndependent) {
   EXPECT_EQ(store.find(pid)->agent, "a");
   EXPECT_EQ(store.find(other)->agent, "b");
   EXPECT_EQ(store.size(), 2u);
+}
+
+TEST_F(PeerstoreTest, PermutedAndDuplicatedProtocolsDiffInStringOrder) {
+  // Interned in arrival order (c, a, b, d); observers still see names in
+  // string order, each once.
+  store.set_protocols(pid, {"c", "a", "c", "b", "a"}, 10);
+  store.set_protocols(pid, {"d", "b", "d"}, 20);
+  ASSERT_EQ(log.protocol_changes.size(), 2u);
+  EXPECT_EQ(log.protocol_changes[0].first, (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_TRUE(log.protocol_changes[0].second.empty());
+  EXPECT_EQ(log.protocol_changes[1].first, (std::vector<std::string>{"d"}));
+  EXPECT_EQ(log.protocol_changes[1].second, (std::vector<std::string>{"a", "c"}));
+}
+
+TEST_F(PeerstoreTest, PermutedEqualSetIsSilent) {
+  store.set_protocols(pid, {"b", "a"}, 10);
+  store.set_protocols(pid, {"a", "b", "a"}, 20);
+  store.set_protocols(pid, {"b", "b", "a"}, 30);
+  EXPECT_EQ(log.protocol_changes.size(), 1u);
+  EXPECT_EQ(store.find(pid)->last_seen, 30);
+}
+
+TEST_F(PeerstoreTest, MoreThanSixtyFourProtocols) {
+  std::vector<std::string> many;
+  for (int i = 99; i >= 0; --i) {
+    many.push_back("/p/" + std::to_string(100 + i));
+  }
+  store.set_protocols(pid, many, 10);
+  ASSERT_EQ(log.protocol_changes.size(), 1u);
+  std::vector<std::string> sorted = many;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(log.protocol_changes[0].first, sorted);
+  for (const std::string& protocol : many) EXPECT_TRUE(store.supports(pid, protocol));
+
+  // Keep only ids past the first word, then only ids inside it.
+  const std::vector<std::string> high(many.begin() + 70, many.end());
+  const std::vector<std::string> low(many.begin(), many.begin() + 3);
+  store.set_protocols(pid, high, 20);
+  store.set_protocols(pid, high, 25);  // equal set spanning two words: silent
+  store.set_protocols(pid, low, 30);
+  store.set_protocols(pid, low, 35);
+  ASSERT_EQ(log.protocol_changes.size(), 3u);
+  EXPECT_EQ(log.protocol_changes[1].first, std::vector<std::string>{});
+  EXPECT_EQ(log.protocol_changes[1].second.size(), 70u);
+  std::vector<std::string> high_sorted = high;
+  std::sort(high_sorted.begin(), high_sorted.end());
+  EXPECT_EQ(log.protocol_changes[2].second, high_sorted);
+  EXPECT_TRUE(store.supports(pid, many[0]));
+  EXPECT_FALSE(store.supports(pid, many[99]));
+
+  // A second peer shares the store's table.
+  const PeerId other = PeerId::from_seed(2);
+  store.set_protocols(other, {many[99]}, 40);
+  EXPECT_TRUE(store.supports(other, many[99]));
+  EXPECT_FALSE(store.supports(other, many[0]));
+}
+
+TEST_F(PeerstoreTest, DhtServerMarkIsStickyPastTheFirstWord) {
+  std::vector<std::string> many;
+  for (int i = 0; i < 70; ++i) many.push_back("/q/" + std::to_string(i));
+  store.set_protocols(pid, many, 10);
+  EXPECT_FALSE(store.find(pid)->ever_dht_server);
+  many.push_back(std::string(protocols::kKad));
+  store.set_protocols(pid, many, 20);
+  EXPECT_TRUE(store.find(pid)->ever_dht_server);
+  many.pop_back();
+  store.set_protocols(pid, many, 30);
+  store.set_protocols(pid, {}, 40);
+  EXPECT_TRUE(store.find(pid)->ever_dht_server);
+  EXPECT_FALSE(store.supports(pid, protocols::kKad));
+}
+
+TEST_F(PeerstoreTest, ManyPeersIndexedInFirstSeenOrder) {
+  constexpr std::uint64_t kPeers = 5000;
+  for (std::uint64_t i = 0; i < kPeers; ++i) {
+    store.touch(PeerId::from_seed(1000 + i), static_cast<common::SimTime>(i));
+  }
+  ASSERT_EQ(store.size(), kPeers);
+  for (std::uint64_t i = 0; i < kPeers; ++i) {
+    const auto* entry = store.find(PeerId::from_seed(1000 + i));
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->first_seen, static_cast<common::SimTime>(i));
+    EXPECT_EQ(store.entries()[i].peer, PeerId::from_seed(1000 + i));
+  }
+  EXPECT_FALSE(store.touch(PeerId::from_seed(1000), 1));
+  EXPECT_EQ(store.size(), kPeers);
+  EXPECT_EQ(log.added_peers.size(), kPeers);
 }
 
 }  // namespace

@@ -122,6 +122,20 @@ TEST_F(SwarmTest, TrimOnHighWaterCrossing) {
   }
 }
 
+TEST_F(SwarmTest, TickAtExactlyHighWaterClosesNothing) {
+  swarm.start();
+  for (int i = 2; i <= 5; ++i) {
+    swarm.open_connection(PeerId::from_seed(static_cast<std::uint64_t>(i)),
+                          remote_addr(static_cast<std::uint32_t>(i)),
+                          Direction::kInbound);
+  }
+  sim.run_until(60 * kSecond);  // every connection is past grace
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  EXPECT_EQ(swarm.open_count(), 4u);
+  EXPECT_TRUE(log.closed.empty());
+  swarm.stop();
+}
+
 TEST_F(SwarmTest, PeriodicTrimLoop) {
   swarm.start();
   for (int i = 2; i <= 6; ++i) {

@@ -189,6 +189,31 @@ TEST(ScenarioSpec, ScaleBoundAdmitsTheLargestCountUpTo2To32Minus1) {
                   .has_value());
 }
 
+TEST(ScenarioSpec, PerDayStreamsOverALongPeriodFailValidate) {
+  // p4.json over 10^6 days: one_time_per_day alone would reach 6.4e9
+  // peers, which the population's 32-bit per-day counts cannot hold.
+  ScenarioSpec spec = *ScenarioSpec::builtin("p4");
+  spec.period.duration = 86'400'000'000'000;
+  const auto error = ScenarioSpec::validate(spec);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(*error,
+            "period.duration_ms: population.counts.one_time_per_day over this many "
+            "days reaches past 2^32 - 1 peers");
+
+  // The bound is the same 2^32 - 1 as the scale's: one day of the largest
+  // per-day count fits, two do not.
+  ScenarioSpec edge = *ScenarioSpec::builtin("p4");
+  edge.population.scale = 1.0;
+  edge.period.duration = common::kDay;
+  edge.population.counts.rotating_pids_per_day = 4'294'967'295u;
+  EXPECT_FALSE(ScenarioSpec::validate(edge).has_value()) << *ScenarioSpec::validate(edge);
+  edge.period.duration = 2 * common::kDay;
+  const auto doubled = ScenarioSpec::validate(edge);
+  ASSERT_TRUE(doubled.has_value());
+  EXPECT_NE(doubled->find("population.counts.rotating_pids_per_day"), std::string::npos)
+      << *doubled;
+}
+
 // ---- preset equivalence -----------------------------------------------------
 
 TEST(ScenarioSpec, CompiledPresetsAreThinWrappersOverBuiltins) {
